@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "core/artifact.h"
 #include "ppr/backward_search.h"
@@ -68,47 +67,45 @@ Status Sling::Preprocess() {
   search.keep_threshold = term * options_.eps / 4.0;
 
   index.source_index.assign(n, {});
-  // Per-target results are collected serially per chunk under a mutex to
-  // keep memory accounting exact; backward searches dominate the cost.
-  std::mutex mu;
+  // Targets are searched in parallel one fixed-size block at a time, each
+  // search writing only its own slot; the block is then appended serially
+  // in ascending w. The index layout -- and with it the order of every
+  // float sum in Query -- is therefore the serial build's at any thread
+  // count, and the tuple budget is checked after each target in that same
+  // w order. A block bounds the search results held beside the index.
+  constexpr size_t kTargetBlock = 1024;
+  std::vector<BackwardSearchResult> block(std::min<size_t>(n, kTargetBlock));
   uint64_t total_tuples = 0;
-  bool exhausted = false;
-  const size_t threads =
-      options_.threads == 0 ? DefaultThreadCount() : options_.threads;
-  ParallelFor(
-      0, n,
-      [&](size_t w) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (exhausted) return;
+  for (size_t first = 0; first < n; first += kTargetBlock) {
+    const size_t last = std::min<size_t>(n, first + kTargetBlock);
+    ParallelFor(
+        first, last,
+        [&](size_t w) {
+          block[w - first] =
+              BackwardSearch(graph_, static_cast<NodeId>(w), search);
+        },
+        options_.threads);
+    for (NodeId w = static_cast<NodeId>(first); w < last; ++w) {
+      const BackwardSearchResult& result = block[w - first];
+      for (uint32_t level = 0; level < result.levels.size(); ++level) {
+        const auto& reserves = result.levels[level];
+        if (reserves.empty()) continue;
+        total_tuples += reserves.size();
+        TargetList& list = index.target_lists[PackNodeLevel(w, level)];
+        list.begin = index.target_payload.size();
+        for (const auto& [v, psi] : reserves) {
+          const float h = psi / static_cast<float>(term);
+          index.target_payload.emplace_back(v, h);
+          index.source_index[v].push_back({w, level, h});
         }
-        BackwardSearchResult result =
-            BackwardSearch(graph_, static_cast<NodeId>(w), search);
-        std::lock_guard<std::mutex> lock(mu);
-        if (exhausted) return;
-        for (uint32_t level = 0; level < result.levels.size(); ++level) {
-          const auto& reserves = result.levels[level];
-          if (reserves.empty()) continue;
-          total_tuples += reserves.size();
-          const uint64_t key =
-              PackNodeLevel(static_cast<NodeId>(w), level);
-          TargetList& list = index.target_lists[key];
-          list.begin = index.target_payload.size();
-          for (const auto& [v, psi] : reserves) {
-            const float h = psi / static_cast<float>(term);
-            index.target_payload.emplace_back(v, h);
-            index.source_index[v].push_back(
-                {static_cast<NodeId>(w), level, h});
-          }
-          list.end = index.target_payload.size();
-        }
-        if (total_tuples > options_.max_index_tuples) exhausted = true;
-      },
-      threads);
-  if (exhausted) {
-    return Status::ResourceExhausted(
-        "SLING: index exceeds max_index_tuples = " +
-        std::to_string(options_.max_index_tuples));
+        list.end = index.target_payload.size();
+      }
+      if (total_tuples > options_.max_index_tuples) {
+        return Status::ResourceExhausted(
+            "SLING: index exceeds max_index_tuples = " +
+            std::to_string(options_.max_index_tuples));
+      }
+    }
   }
   index_ = std::make_shared<const Index>(std::move(index));
   return Status::OK();

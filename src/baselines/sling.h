@@ -41,6 +41,9 @@ struct SlingOptions {
   /// Abort preprocessing if the index would exceed this many stored tuples.
   uint64_t max_index_tuples = 200000000;
   uint32_t max_level = 64;
+  /// Worker threads for the eta estimates and backward searches (0 =
+  /// DefaultThreadCount()). Changes only the build time, never the index
+  /// bytes: every thread count yields the serial build's artifact.
   size_t threads = 0;
   uint64_t seed = 13;
 };
@@ -78,6 +81,8 @@ class Sling : public SingleSourceSimRank {
   bool IsIndexBased() const override { return true; }
 
   double eta(NodeId w) const { return index_->eta[w]; }
+  /// Stored (v, h) tuples, the count max_index_tuples bounds.
+  uint64_t index_tuples() const { return index_->target_payload.size(); }
   bool preprocessed() const { return index_ != nullptr; }
 
  private:

@@ -466,16 +466,15 @@ TEST_F(CliTest, IndexFlagRejectedForNonPersistentAlgo) {
 
 // The cold-start workflow for every persistent engine: build the index in
 // one process, reload it in another, and get bit-identical scores to an
-// in-process preprocessing run under the same seed. threads=1 keeps the
-// two independent SLING builds byte-identical (parallel build interleaving
-// reorders float accumulation).
+// in-process preprocessing run under the same seed. The two builds use the
+// default (parallel) thread count, whose index layout is the serial one.
 TEST_F(CliTest, EveryPersistentEngineRoundTripsThroughIndexFiles) {
   ASSERT_EQ(Run("generate --out " + Path("g.txt") +
                 " --model er --n 400 --degree 5 --seed 2"),
             0);
   const std::vector<std::pair<std::string, std::string>> algos = {
       {"prsim", " --eps 0.3"},
-      {"sling", " --params eps=0.3,threads=1"},
+      {"sling", " --params eps=0.3"},
       {"reads", " --params r=10,t=4"},
       {"tsf", " --params rg=10,rq=3"},
   };

@@ -1,17 +1,20 @@
 // Artifact robustness for every persistent engine: save -> load -> query
-// round trips must be bit-identical, and truncated, corrupted, or
-// wrong-fingerprint artifacts must fail with clean Status errors for
-// PRSim, SLING, READS, and TSF alike.
+// round trips must be bit-identical, two builds of the same (graph,
+// options) must save byte-identical artifacts at any thread count, and
+// truncated, corrupted, or wrong-fingerprint artifacts must fail with clean
+// Status errors for PRSim, SLING, READS, and TSF alike.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/sling.h"
 #include "core/engine_registry.h"
 #include "test_util.h"
 
@@ -24,14 +27,20 @@ struct EngineCase {
   const char* engine;        ///< registry key
   const char* params;        ///< test-sized config ("seed" appended below)
   const char* mismatch_params;  ///< same engine, different index options
+  bool parallel_build;       ///< Preprocess honours a "threads" option
 };
 
 const EngineCase kCases[] = {
-    {"prsim", "eps=0.3,seed=99", "eps=0.2,seed=99"},
-    {"sling", "eps=0.3,seed=99", "eps=0.2,seed=99"},
-    {"reads", "r=20,t=5,seed=99", "r=10,t=5,seed=99"},
-    {"tsf", "rg=20,rq=5,seed=99", "rg=10,rq=5,seed=99"},
+    {"prsim", "eps=0.3,seed=99", "eps=0.2,seed=99", true},
+    {"sling", "eps=0.3,seed=99", "eps=0.2,seed=99", true},
+    {"reads", "r=20,t=5,seed=99", "r=10,t=5,seed=99", false},
+    {"tsf", "rg=20,rq=5,seed=99", "rg=10,rq=5,seed=99", false},
 };
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(file), {});
+}
 
 class PersistenceTest : public ::testing::TestWithParam<EngineCase> {
  protected:
@@ -95,6 +104,31 @@ TEST_P(PersistenceTest, RoundTripQueriesAreBitIdentical) {
   // And again from another source (RNG streams stay in lockstep).
   EXPECT_EQ(Sorted(fresh->Query(11)),
             Sorted(loaded.ValueOrDie()->Query(11)));
+}
+
+// The saved bytes are a pure function of (graph, options): a parallel
+// build must lay the index out exactly as the serial one does, or two
+// builds would sum query scores in different orders.
+TEST_P(PersistenceTest, RebuildsSaveByteIdenticalArtifacts) {
+  std::string first = GetParam().params;
+  std::string second = GetParam().params;
+  if (GetParam().parallel_build) {
+    first += ",threads=1";
+    second += ",threads=4";
+  }
+  // Large enough that the chunks of a 4-thread build overlap in time even
+  // when the pool has a single worker.
+  graph_ = MakeRandomDigraph(2000, 12000, 7);
+  auto a = Make(first);
+  auto b = Make(second);
+  ASSERT_TRUE(a->Preprocess().ok());
+  ASSERT_TRUE(b->Preprocess().ok());
+  ASSERT_TRUE(a->SaveIndex(Path("a.idx")).ok());
+  ASSERT_TRUE(b->SaveIndex(Path("b.idx")).ok());
+  const std::string bytes = ReadFileBytes(Path("a.idx"));
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == ReadFileBytes(Path("b.idx")))
+      << first << " vs " << second;
 }
 
 TEST_P(PersistenceTest, LoadIndexReplacesPreprocess) {
@@ -207,6 +241,37 @@ INSTANTIATE_TEST_SUITE_P(AllPersistentEngines, PersistenceTest,
                          [](const ::testing::TestParamInfo<EngineCase>& info) {
                            return std::string(info.param.engine);
                          });
+
+// SLING checks its tuple budget after each target in ascending order, so
+// whether a build fits cannot depend on the thread count: one tuple short
+// of the full index aborts, the exact size succeeds. The graph is large
+// enough that the build searches its targets in more than one block.
+TEST(SlingTupleBudgetTest, BoundaryIsThreadIndependent) {
+  const Graph graph = MakeRandomDigraph(6000, 24000, 7);
+  SlingOptions options;
+  options.eps = 0.3;
+  options.max_eta_samples = 100;  // eta plays no part in the budget
+  options.seed = 99;
+  options.threads = 1;
+  Sling full(graph, options);
+  ASSERT_TRUE(full.Preprocess().ok());
+  const uint64_t total = full.index_tuples();
+  ASSERT_GT(total, 0u);
+  for (const size_t threads : {1, 4}) {
+    options.threads = threads;
+    options.max_index_tuples = total - 1;
+    Sling over(graph, options);
+    const Status st = over.Preprocess();
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads << ": " << st.ToString();
+    EXPECT_FALSE(over.preprocessed());
+
+    options.max_index_tuples = total;
+    Sling exact(graph, options);
+    ASSERT_TRUE(exact.Preprocess().ok()) << "threads=" << threads;
+    EXPECT_EQ(exact.index_tuples(), total) << "threads=" << threads;
+  }
+}
 
 TEST(PersistenceUnimplementedTest, IndexFreeEnginesReportUnimplemented) {
   Graph g = MakeRandomDigraph(40, 160, 3);
