@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/artifact.h"
-#include "util/flat_hash_map2.h"
 #include "util/logging.h"
 #include "util/serde.h"
 
@@ -81,10 +80,16 @@ ScoreList Reads::Query(NodeId u) {
   const uint32_t r = options_.r;
   const uint32_t t = options_.t;
   const double inv_r = 1.0 / static_cast<double>(r);
-  FlatHashMap2<double> scores(1024);
+  scores_.Reset(graph_.n());
 
   for (uint32_t j = 0; j < r; ++j) {
-    ++epoch_;  // one epoch per sample: a v meeting at several steps counts once
+    // One epoch per sample: a v meeting at several steps counts once.
+    if (++epoch_ == 0) {
+      // Wrapped: stale stamps could equal the restarted counter, so clear
+      // them and restart at 1 (0 is what a cleared stamp holds).
+      std::fill(meet_epoch_.begin(), meet_epoch_.end(), 0);
+      epoch_ = 1;
+    }
     const uint32_t begin = walks.traj_off[static_cast<size_t>(u) * r + j];
     const uint32_t end = walks.traj_off[static_cast<size_t>(u) * r + j + 1];
     for (uint32_t i = 0; i < end - begin && i < t; ++i) {
@@ -100,15 +105,15 @@ ScoreList Reads::Query(NodeId u) {
         if (v == u) continue;
         if (meet_epoch_[v] == epoch_) continue;  // already met this sample
         meet_epoch_[v] = epoch_;
-        scores[v] += inv_r;
+        scores_[v] += inv_r;
       }
     }
   }
 
   ScoreList out;
-  out.reserve(scores.size() + 1);
-  scores.ForEach([&](uint64_t key, const double& score) {
-    if (score > 0) out.emplace_back(static_cast<NodeId>(key), score);
+  out.reserve(scores_.size() + 1);
+  scores_.ForEach([&](NodeId v, double score) {
+    if (score > 0) out.emplace_back(v, score);
   });
   out.emplace_back(u, 1.0);
   return out;

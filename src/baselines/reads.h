@@ -21,6 +21,7 @@
 
 #include "core/single_source.h"
 #include "graph/graph.h"
+#include "util/dense_accumulator.h"
 #include "util/rng.h"
 
 namespace prsim {
@@ -71,6 +72,10 @@ class Reads : public SingleSourceSimRank {
   size_t IndexBytes() const override;
   bool IsIndexBased() const override { return true; }
 
+  /// Test hook: sets the meeting-dedup epoch counter (one step per stored
+  /// walk), so tests can run a query across its wrap-around.
+  void set_epoch_for_testing(uint32_t epoch) { epoch_ = epoch; }
+
  private:
   /// One stored occurrence: source v's walk j is at node `node` at step i
   /// (j and i are implicit in the bucket).
@@ -100,6 +105,7 @@ class Reads : public SingleSourceSimRank {
 
   std::vector<uint32_t> meet_epoch_;  // scratch: first-meeting dedup
   uint32_t epoch_ = 0;
+  DenseAccumulator<double> scores_;  // scratch: per-query scores
 };
 
 }  // namespace prsim

@@ -116,7 +116,7 @@ ScoreList Sling::Query(NodeId u) {
   PRSIM_CHECK(u < graph_.n());
   cost_ = QueryCost{};
   const Index& index = *index_;
-  FlatHashMap2<double> scores(1024);
+  scores_.Reset(graph_.n());
   for (const SourceEntry& entry : index.source_index[u]) {
     const uint64_t key = PackNodeLevel(entry.w, entry.level);
     const TargetList* list = index.target_lists.Find(key);
@@ -125,13 +125,12 @@ ScoreList Sling::Query(NodeId u) {
     const double lhs = static_cast<double>(entry.h) * index.eta[entry.w];
     for (uint64_t i = list->begin; i < list->end; ++i) {
       const auto& [v, h] = index.target_payload[i];
-      scores[v] += lhs * static_cast<double>(h);
+      scores_[v] += lhs * static_cast<double>(h);
     }
   }
   ScoreList out;
-  out.reserve(scores.size() + 1);
-  scores.ForEach([&](uint64_t key, const double& score) {
-    const auto v = static_cast<NodeId>(key);
+  out.reserve(scores_.size() + 1);
+  scores_.ForEach([&](NodeId v, double score) {
     if (v != u && score > 0) out.emplace_back(v, score);
   });
   out.emplace_back(u, 1.0);

@@ -24,6 +24,7 @@
 #include "core/single_source.h"
 #include "graph/graph.h"
 #include "ppr/walker.h"
+#include "util/dense_accumulator.h"
 #include "util/flat_hash_map2.h"
 #include "util/rng.h"
 
@@ -112,6 +113,9 @@ class Sling : public SingleSourceSimRank {
   SlingOptions options_;
   Walker walker_;
   std::shared_ptr<const Index> index_;
+  /// Per-query score scratch, sized to the graph on the first query; a
+  /// clone starts with its own, empty one.
+  DenseAccumulator<double> scores_;
 };
 
 }  // namespace prsim

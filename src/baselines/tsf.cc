@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/artifact.h"
-#include "util/flat_hash_map2.h"
 #include "util/logging.h"
 #include "util/serde.h"
 
@@ -110,7 +109,7 @@ ScoreList Tsf::Query(NodeId u) {
   cost_ = QueryCost{};
   cost_.walks =
       static_cast<uint64_t>(options_.rg) * static_cast<uint64_t>(options_.rq);
-  FlatHashMap2<double> scores(1024);
+  scores_.Reset(n);
 
   child_off_.assign(n + 1, 0);
   child_adj_.resize(n);
@@ -160,16 +159,16 @@ ScoreList Tsf::Query(NodeId u) {
         }
         const double contribution = weight * inv_norm;
         for (NodeId v : frontier_) {
-          if (v != u) scores[v] += contribution;
+          if (v != u) scores_[v] += contribution;
         }
       }
     }
   }
 
   ScoreList out;
-  out.reserve(scores.size() + 1);
-  scores.ForEach([&](uint64_t key, const double& score) {
-    if (score > 0) out.emplace_back(static_cast<NodeId>(key), score);
+  out.reserve(scores_.size() + 1);
+  scores_.ForEach([&](NodeId v, double score) {
+    if (score > 0) out.emplace_back(v, score);
   });
   out.emplace_back(u, 1.0);
   return out;

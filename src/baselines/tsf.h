@@ -21,6 +21,7 @@
 
 #include "core/single_source.h"
 #include "graph/graph.h"
+#include "util/dense_accumulator.h"
 #include "util/rng.h"
 
 namespace prsim {
@@ -93,10 +94,12 @@ class Tsf : public SingleSourceSimRank {
   /// Immutable once built, shared across clones.
   std::shared_ptr<const std::vector<NodeId>> parents_;
 
-  // Scratch reused across queries: child CSR of one one-way graph.
+  // Scratch reused across queries: child CSR of one one-way graph, and the
+  // score accumulator.
   std::vector<uint32_t> child_off_;
   std::vector<NodeId> child_adj_;
   std::vector<NodeId> frontier_, frontier_next_;
+  DenseAccumulator<double> scores_;
 };
 
 }  // namespace prsim

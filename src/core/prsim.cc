@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/index_io.h"
+#include "util/dense_accumulator.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/sample_grid.h"
@@ -12,16 +13,23 @@
 namespace prsim {
 
 /// Pooled per-engine scratch for the chunked query path. Everything here is
-/// reused across queries: FlatHashMap::clear() and vector::clear() retain
-/// capacity, so steady-state queries allocate nothing per walk (and, once
-/// the touched-node set stabilizes, nothing at all).
+/// reused across queries: FlatHashMap::clear(), vector::clear() and
+/// DenseAccumulator::Reset() retain capacity, so steady-state queries
+/// allocate nothing per walk (and, once the touched-node set stabilizes,
+/// nothing at all).
 ///
-/// Every accumulator map is paired with a vector of its keys in insertion
-/// order, and every pass that feeds ordered work — RNG draws, float sums
-/// into a shared cell, result emission — iterates the vector, never the
-/// map. Map slot layout depends on the capacity retained from earlier
-/// queries; insertion order is a pure function of the query, which is what
-/// keeps Query(u) bit-identical regardless of what the engine ran before.
+/// Every pass that feeds ordered work — RNG draws, float sums into a shared
+/// cell, result emission — iterates insertion order, never a map's slot
+/// layout: each accumulator map is paired with a vector of its keys, and the
+/// node-keyed merge accumulators (the tail columns and the scores) are
+/// DenseAccumulators, which keep their own first-touch list. Slot layout
+/// depends on the capacity retained from earlier queries; insertion order
+/// is a pure function of the query, which is what keeps Query(u)
+/// bit-identical regardless of what the engine ran before.
+///
+/// The two dense accumulators are sized to the graph on the first query:
+/// about 9 bytes per node for the scores and 5 for the tail's column index,
+/// plus 4 bytes per touched node each.
 struct PRSim::QueryWorkspace {
   /// One slot per static sample chunk; slot i is written only by the worker
   /// running chunk i, then read by the merge pass after the join.
@@ -62,8 +70,7 @@ struct PRSim::QueryWorkspace {
   FlatHashMap2<uint64_t> eta_pi{1024};  ///< merged sample counts
   std::vector<uint64_t> eta_keys;
   RoundColumns tail;  ///< per-(node, round) tail sums + median reduce
-  FlatHashMap2<double> scores{1024};
-  std::vector<NodeId> score_nodes;
+  DenseAccumulator<double> scores;  ///< tail medians + hub-index join
 };
 
 PRSim::PRSim(const Graph& graph, const PRSimOptions& options)
@@ -178,7 +185,7 @@ ScoreList PRSim::Query(NodeId u) {
   // counts and cost counters merge exactly regardless.
   ws.eta_pi.clear();
   ws.eta_keys.clear();
-  ws.tail.Reset(fr_);
+  ws.tail.Reset(fr_, graph_.n());
   for (size_t i = 0; i < ws.tasks.size(); ++i) {
     const uint32_t round = ws.tasks[i].round;
     QueryWorkspace::Chunk& chunk = ws.chunks[i];
@@ -191,17 +198,13 @@ ScoreList PRSim::Query(NodeId u) {
     }
   }
 
-  // First-touch bookkeeping for the score accumulator (emission follows
-  // score_nodes, so result order is history-independent too).
-  ws.scores.clear();
-  ws.score_nodes.clear();
-  const auto score_slot = [&ws](NodeId v) -> double& {
-    return OrderedSlot(ws.scores, ws.score_nodes, v);
-  };
+  // Score accumulator: emission follows its first-touch order, so result
+  // order is history-independent too.
+  ws.scores.Reset(graph_.n());
 
   // Median over rounds for the tail part (Lines 14-15).
-  ws.tail.ForEachMedian([&](uint64_t key, double median) {
-    if (median > 0) score_slot(static_cast<NodeId>(key)) += median;
+  ws.tail.ForEachMedian([&ws](NodeId v, double median) {
+    if (median > 0) ws.scores[v] += median;
   });
 
   // Index part (Lines 16-18): resolve heavy (w, l) pairs against the hub
@@ -218,19 +221,17 @@ ScoreList PRSim::Query(NodeId u) {
     cost_.index_tuples_read += reserves->size();
     const double scale = mass * inv_term_sq_;
     for (const auto& [v, psi] : *reserves) {
-      score_slot(v) += scale * static_cast<double>(psi);
+      ws.scores[v] += scale * static_cast<double>(psi);
     }
   }
 
   ScoreList result;
-  result.reserve(ws.score_nodes.size() + 1);
-  for (const NodeId v : ws.score_nodes) {
+  result.reserve(ws.scores.size() + 1);
+  ws.scores.ForEach([&](NodeId v, double score) {
     // Any mass accumulated on the source itself is discarded: s(u, u) is
     // exactly 1 and is appended below.
-    if (v == u) continue;
-    const double score = *ws.scores.Find(v);
-    if (score > 0) result.emplace_back(v, score);
-  }
+    if (v != u && score > 0) result.emplace_back(v, score);
+  });
   result.emplace_back(u, 1.0);
   return result;
 }
@@ -246,11 +247,10 @@ PRSim::WorkspaceSnapshot PRSim::SnapshotWorkspace() const {
     snapshot.buffer_capacity +=
         chunk.eta_keys.capacity() + chunk.tail_keys.capacity();
   }
-  snapshot.map_capacity +=
-      ws.eta_pi.capacity() + ws.tail.MapCapacity() + ws.scores.capacity();
+  snapshot.map_capacity += ws.eta_pi.capacity();
   snapshot.buffer_capacity += ws.tail.BufferCapacity() +
                               ws.eta_keys.capacity() +
-                              ws.score_nodes.capacity();
+                              ws.scores.BufferCapacity();
   return snapshot;
 }
 

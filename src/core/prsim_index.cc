@@ -1,6 +1,7 @@
 #include "core/prsim_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "ppr/reverse_pagerank.h"
@@ -41,20 +42,30 @@ Result<PRSimIndex> PRSimIndex::Build(const Graph& graph,
     index.hub_slot_[index.hub_nodes_[slot]] = slot;
   }
 
-  // One backward search per hub (Algorithm 1, lines 6-17); hubs are
-  // independent, so the loop parallelizes without synchronization.
+  // One backward search per hub (Algorithm 1, lines 6-17). Hubs are ranked
+  // by reverse PageRank, so the costliest searches come first; static
+  // chunks would hand them all to one worker. Instead every worker takes
+  // the next hub from one shared counter. Each search writes only its own
+  // slot, so the index is the same at any thread count.
   BackwardSearchOptions search;
   search.c = options.c;
   search.rmax = index.rmax_;
   search.max_level = options.max_level;
+  const size_t workers = std::min<size_t>(
+      options.threads == 0 ? DefaultThreadCount() : options.threads, j0);
+  std::atomic<size_t> next_slot{0};
   ParallelFor(
-      0, j0,
-      [&](size_t slot) {
-        BackwardSearchResult result =
-            BackwardSearch(graph, index.hub_nodes_[slot], search);
-        index.hub_levels_[slot].levels = std::move(result.levels);
+      0, workers,
+      [&](size_t /*worker*/) {
+        for (size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
+             slot < j0;
+             slot = next_slot.fetch_add(1, std::memory_order_relaxed)) {
+          BackwardSearchResult result =
+              BackwardSearch(graph, index.hub_nodes_[slot], search);
+          index.hub_levels_[slot].levels = std::move(result.levels);
+        }
       },
-      options.threads);
+      workers);
 
   for (const auto& hub : index.hub_levels_) {
     for (const auto& level : hub.levels) {

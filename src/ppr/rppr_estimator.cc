@@ -91,7 +91,7 @@ RpprEstimate RpprEstimator::MedianOfMeans(uint64_t stream, Sample&& sample) {
   // Phase 2: fixed-order merge of chunk partials into per-round columns,
   // then the median-of-rounds reduce (shared with PRSim's tail part).
   RpprEstimate out;
-  ws.columns.Reset(fr_);
+  ws.columns.Reset(fr_, graph_.n());
   for (size_t i = 0; i < ws.tasks.size(); ++i) {
     const uint32_t round = ws.tasks[i].round;
     Workspace::Chunk& chunk = ws.chunks[i];
@@ -101,9 +101,9 @@ RpprEstimate RpprEstimator::MedianOfMeans(uint64_t stream, Sample&& sample) {
     }
   }
 
-  out.values.reserve(ws.columns.key_count());
-  ws.columns.ForEachMedian([&](uint64_t key, double median) {
-    if (median > 0) out.values.emplace_back(static_cast<NodeId>(key), median);
+  out.values.reserve(ws.columns.node_count());
+  ws.columns.ForEachMedian([&](NodeId v, double median) {
+    if (median > 0) out.values.emplace_back(v, median);
   });
   return out;
 }

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/flat_hash_map2.h"
+#include "util/dense_accumulator.h"
 #include "util/rng.h"
 
 namespace prsim {
@@ -81,62 +81,62 @@ inline uint64_t SampleChunkSeed(uint64_t seed, uint64_t stream,
                  chunk.round * samples_per_round + chunk.j_lo);
 }
 
-/// \brief Per-(key, round) column accumulator + median-of-rounds reduce —
+/// \brief Per-(node, round) column accumulator + median-of-rounds reduce —
 /// the merge half of the chunked median-of-means estimators (PRSim's tail
 /// part, RpprEstimator), kept in ONE place because it encodes the
 /// bit-identity invariant: Add() must be called in fixed grid order (all
 /// chunks of round r in ascending block order), and ForEachMedian() visits
-/// keys in first-touch order, so neither values nor output order depend on
-/// the worker count or on capacity retained from earlier reuse.
+/// nodes in first-touch order, so neither values nor output order depend on
+/// the worker count or on what earlier estimates left behind.
 ///
-/// Reset() keeps capacity; all storage is reusable workspace.
+/// The node-to-column index is a DenseAccumulator, sized to the graph by
+/// Reset(); all storage is reusable workspace.
 class RoundColumns {
  public:
-  void Reset(uint32_t rounds) {
+  /// Empties the columns for an estimate over node ids [0, n).
+  void Reset(uint32_t rounds, size_t n) {
     rounds_ = rounds;
-    slot_of_.clear();
-    keys_.clear();
+    column_of_.Reset(n);
     columns_.clear();
   }
 
-  /// Adds a chunk partial into `key`'s column for `round`.
-  void Add(uint64_t key, uint32_t round, double value) {
-    uint32_t& slot = slot_of_[key];
-    if (slot == 0) {  // 0 is the sentinel for "new"; slots start at 1
-      keys_.push_back(key);
+  /// Adds a chunk partial into `v`'s column for `round`.
+  void Add(uint32_t v, uint32_t round, double value) {
+    uint32_t& column = column_of_[v];
+    if (column == 0) {  // 0 is the sentinel for "new"; columns start at 1
       columns_.resize(columns_.size() + rounds_, 0.0);
-      slot = static_cast<uint32_t>(keys_.size());
+      column = static_cast<uint32_t>(column_of_.size());
     }
-    columns_[static_cast<size_t>(slot - 1) * rounds_ + round] += value;
+    columns_[static_cast<size_t>(column - 1) * rounds_ + round] += value;
   }
 
-  size_t key_count() const { return keys_.size(); }
+  size_t node_count() const { return column_of_.size(); }
 
-  /// fn(key, median over the key's per-round sums), in first-touch key
-  /// order. Callers filter non-positive medians themselves.
+  /// fn(v, median over v's per-round sums), in first-touch node order.
+  /// Callers filter non-positive medians themselves.
   template <typename Fn>
   void ForEachMedian(Fn&& fn) {
     buffer_.resize(rounds_);
-    for (size_t slot = 0; slot < keys_.size(); ++slot) {
+    const std::vector<uint32_t>& nodes = column_of_.touched();
+    for (size_t slot = 0; slot < nodes.size(); ++slot) {
       const double* column = &columns_[slot * rounds_];
       std::copy(column, column + rounds_, buffer_.begin());
       const auto mid = buffer_.begin() + rounds_ / 2;
       std::nth_element(buffer_.begin(), mid, buffer_.end());
-      fn(keys_[slot], *mid);
+      fn(nodes[slot], *mid);
     }
   }
 
-  /// Capacity probes for the workspace-reuse tests.
-  size_t MapCapacity() const { return slot_of_.capacity(); }
+  /// Capacity probe for the workspace-reuse tests.
   size_t BufferCapacity() const {
-    return keys_.capacity() + columns_.capacity() + buffer_.capacity();
+    return column_of_.BufferCapacity() + columns_.capacity() +
+           buffer_.capacity();
   }
 
  private:
   uint32_t rounds_ = 0;
-  FlatHashMap2<uint32_t> slot_of_{1024};
-  std::vector<uint64_t> keys_;
-  std::vector<double> columns_;  // slot-major, rounds_ doubles per slot
+  DenseAccumulator<uint32_t> column_of_;  // 1-based column per node
+  std::vector<double> columns_;  // rounds_ doubles per column, in column order
   std::vector<double> buffer_;
 };
 

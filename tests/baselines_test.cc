@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "baselines/monte_carlo.h"
@@ -222,6 +223,30 @@ TEST(ReadsTest, MemoryBudgetAborts) {
   options.max_index_entries = 100;
   Reads reads(g, options);
   EXPECT_EQ(reads.Preprocess().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ReadsTest, EpochWrapAroundMatchesFreshEngine) {
+  // The meeting dedup advances a uint32_t epoch once per stored walk (r per
+  // query). A query that crosses its wrap-around must answer exactly like a
+  // fresh engine: no stale stamp may read as "already met this sample".
+  Graph g = MakeRandomDigraph(100, 600, 42);
+  ReadsOptions options;
+  Reads fresh(g, options);
+  ASSERT_TRUE(fresh.Preprocess().ok());
+  for (NodeId u = 0; u < 20; ++u) {
+    const ScoreList expected = fresh.Query(u);
+    for (const uint32_t wrap_sample : {0u, options.r / 2, options.r - 1}) {
+      // A clone shares the index and starts with cleared stamps; sample
+      // `wrap_sample` of its first query is the one the counter wraps on.
+      auto clone = fresh.CloneWithSeed(options.seed);
+      auto* wrapping = dynamic_cast<Reads*>(clone.get());
+      ASSERT_NE(wrapping, nullptr);
+      wrapping->set_epoch_for_testing(std::numeric_limits<uint32_t>::max() -
+                                      wrap_sample);
+      EXPECT_EQ(expected, wrapping->Query(u))
+          << "u=" << u << " wrap_sample=" << wrap_sample;
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

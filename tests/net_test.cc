@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -664,6 +665,14 @@ TEST(TcpServerTest, ShutdownDrainsInFlightAndStopsAccepting) {
   const uint16_t port = served.server->port();
   BinaryClient client(port);
   for (NodeId i = 0; i < 10; ++i) client.Send(FreshRequest(i, 5));
+  // Let the session read at least one request first (bounded wait): a
+  // shutdown that half-closes before any read leaves nothing to drain.
+  const auto read_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (served.server->Stats().requests == 0 &&
+         std::chrono::steady_clock::now() < read_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Shutdown concurrently with the in-flight batch: every accepted request
   // must still be answered, then the connection closes.
   std::thread shutdown_thread([&] { served.server->Shutdown(); });

@@ -220,6 +220,29 @@ TEST(ParallelQueryTest, QueryIndependentOfWorkspaceHistory) {
   EXPECT_NE(warmed, fresh.SnapshotWorkspace());
 }
 
+TEST(ParallelQueryTest, RpprEstimateIndependentOfEarlierEstimates) {
+  // The estimator's RoundColumns keep their node index between calls; an
+  // estimate made after unrelated ones must equal a fresh estimator's.
+  Graph g = MakeRandomDigraph(300, 6000, 46);
+  RpprEstimatorOptions options;
+  options.eps = 0.05;
+  options.seed = 8;
+  RpprEstimator fresh(g, options);
+  RpprEstimator used(g, options);
+  (void)used.EstimateAggregate(250);
+  (void)used.EstimateLevel(1, 3);
+  (void)used.EstimateLevel(99, 1);
+
+  const RpprEstimate level_fresh = fresh.EstimateLevel(7, 2);
+  const RpprEstimate level_used = used.EstimateLevel(7, 2);
+  EXPECT_FALSE(level_fresh.values.empty());
+  EXPECT_EQ(level_fresh.values, level_used.values);
+  EXPECT_EQ(level_fresh.total_walk_increments,
+            level_used.total_walk_increments);
+  EXPECT_EQ(fresh.EstimateAggregate(7).values,
+            used.EstimateAggregate(7).values);
+}
+
 TEST(ParallelQueryTest, RpprRepeatedEstimateIsPure) {
   Graph g = MakeRandomDigraph(80, 400, 34);
   RpprEstimatorOptions options;
