@@ -1,9 +1,9 @@
-// Hash map microbenchmark: FlatHashMap (v1) vs FlatHashMap2 vs
-// std::unordered_map on the access patterns the query hot paths actually
+// Hash map microbenchmark: FlatHashMap2, with std::unordered_map as a
+// reference row, on the access patterns the query hot paths actually
 // execute — bulk insert, hit/miss lookup, capacity-retained clear+reuse
 // (the pooled-workspace cycle), and full iteration — across sizes 1e2..1e6
 // and three key shapes:
-//   * uniform        — random 63-bit keys (worst case for any id trick);
+//   * uniform        — random 64-bit keys (worst case for any id trick);
 //   * node_ids       — dense shuffled 0..n-1 (accumulators, id remap);
 //   * packed_node_level — PackNodeLevel(node, level) keys (walk frontiers).
 //
@@ -11,16 +11,11 @@
 // runs `sweeps` times with per-cell minima merged across sweeps: a cell's
 // reps run back to back, so a sustained noise window (vCPU steal on a
 // shared host) can poison every rep of one cell in one sweep, but it
-// cannot chase the same cell across sweeps minutes apart. Two
-// machine-checkable verdicts are embedded in the output:
-//   * "detector": the accidentally-quadratic guard — FAILS (and the binary
-//     exits 1) if Find probe-length percentiles degrade superlinearly as
-//     the table grows, i.e. if the hash + probe scheme stops being O(1)
-//     for some key shape;
-//   * "comparison": v2 must be at least as fast as v1 on insert, find_mixed
-//     (the interleaved hit/miss stream the hot paths actually issue), and
-//     clear_reuse at every measured size; pure find_hit/find_miss rows are
-//     recorded for inspection.
+// cannot chase the same cell across sweeps minutes apart. One
+// machine-checkable verdict is embedded in the output: the "detector", an
+// accidentally-quadratic guard that FAILS (and the binary exits 1) if Find
+// probe-length percentiles degrade superlinearly as the table grows, i.e.
+// if the hash + probe scheme stops being O(1) for some key shape.
 //
 // Usage: bench_micro_hashmap [--max-size S] [--reps R] [--sweeps K]
 //                            [--out PATH]
@@ -40,7 +35,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "util/flat_hash_map.h"
 #include "util/flat_hash_map2.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -116,11 +110,11 @@ KeySet MakeKeys(const std::string& dist, size_t n, Rng& rng) {
     std::unordered_set<uint64_t> seen;
     seen.reserve(n * 2);
     while (ks.present.size() < n) {
-      const uint64_t key = rng.Next() >> 1;  // 63-bit: never the v1 sentinel
+      const uint64_t key = rng.Next();
       if (seen.insert(key).second) ks.present.push_back(key);
     }
     while (ks.absent.size() < n) {
-      const uint64_t key = rng.Next() >> 1;
+      const uint64_t key = rng.Next();
       if (seen.insert(key).second) ks.absent.push_back(key);
     }
   } else if (dist == "node_ids") {
@@ -145,10 +139,10 @@ KeySet MakeKeys(const std::string& dist, size_t n, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Measured operations, generic over the map flavor
+// Measured operations, generic over the map
 // ---------------------------------------------------------------------------
 
-// std::unordered_map gets thin adapters so one template covers all three.
+// std::unordered_map gets thin adapters so one template covers both maps.
 struct StdMapAdapter {
   std::unordered_map<uint64_t, uint64_t> map;
   uint64_t& operator[](uint64_t k) { return map[k]; }
@@ -209,9 +203,9 @@ double MeasureFind(const Map& map, const std::vector<uint64_t>& keys,
 
 /// ns per clear+refill cycle of a workspace that retained capacity for n
 /// entries but now holds a small working set (n/16 keys) — the pooled-query
-/// shape where v1's O(capacity) wipe dominates: queries touch far fewer
-/// nodes than the largest query the workspace ever served. The refill is
-/// identical across flavors, so cycle-time differences are clear()
+/// shape: queries touch far fewer nodes than the largest query the
+/// workspace ever served, so an O(capacity) clear() would dominate. The
+/// refill is identical across maps, so cycle-time differences are clear()
 /// differences.
 template <typename Map>
 double MeasureClearReuse(Map& map, const std::vector<uint64_t>& keys,
@@ -259,10 +253,9 @@ struct ProbeStats {
   size_t max = 0;
 };
 
-/// Probe-length distribution of Find over every present key. Units are
-/// whatever the map's FindProbeCost counts (v1: slots, v2: 16-slot groups)
-/// — the detector compares a map against itself across sizes, never across
-/// flavors.
+/// Probe-length distribution of Find over every present key, in
+/// FindProbeCost units (16-slot groups inspected plus H2-matched candidate
+/// slots) — the detector compares the map against itself across sizes.
 template <typename Map>
 ProbeStats MeasureProbes(const Map& map, const std::vector<uint64_t>& keys) {
   std::vector<size_t> costs;
@@ -277,11 +270,11 @@ ProbeStats MeasureProbes(const Map& map, const std::vector<uint64_t>& keys) {
 }
 
 // ---------------------------------------------------------------------------
-// Result table + verdicts
+// Result table + verdict
 // ---------------------------------------------------------------------------
 
 struct Row {
-  std::string map;   ///< "v1" | "v2" | "std"
+  std::string map;   ///< "v2" | "std"
   std::string dist;  ///< "uniform" | "node_ids" | "packed_node_level"
   size_t size = 0;
   double insert_ns = 0, find_hit_ns = 0, find_miss_ns = 0;
@@ -299,70 +292,25 @@ struct Row {
 /// integer percentiles of tiny tables), or any absolute blowup.
 std::vector<std::string> DetectQuadraticProbes(const std::vector<Row>& rows) {
   std::vector<std::string> violations;
-  for (const std::string map : {"v1", "v2"}) {
-    for (const std::string dist :
-         {"uniform", "node_ids", "packed_node_level"}) {
-      const Row* prev = nullptr;
-      for (const Row& row : rows) {
-        if (row.map != map || row.dist != dist || !row.has_probes) continue;
-        char buf[256];
-        if (prev != nullptr && row.probes.p99 > 2 * prev->probes.p99 + 1) {
-          std::snprintf(buf, sizeof(buf),
-                        "%s/%s: p99 probe cost %.0f at size %zu vs %.0f at "
-                        "size %zu (superlinear)",
-                        map.c_str(), dist.c_str(), row.probes.p99, row.size,
-                        prev->probes.p99, prev->size);
-          violations.push_back(buf);
-        }
-        if (row.probes.max > 256) {
-          std::snprintf(buf, sizeof(buf),
-                        "%s/%s: max probe cost %zu at size %zu",
-                        map.c_str(), dist.c_str(), row.probes.max, row.size);
-          violations.push_back(buf);
-        }
-        prev = &row;
-      }
-    }
-  }
-  return violations;
-}
-
-/// v2 must be at least as fast as v1 on the hot-path ops at every cell.
-std::vector<std::string> CompareV2AgainstV1(const std::vector<Row>& rows) {
-  std::vector<std::string> violations;
-  for (const Row& v2 : rows) {
-    if (v2.map != "v2") continue;
-    const Row* v1 = nullptr;
+  for (const std::string dist : {"uniform", "node_ids", "packed_node_level"}) {
+    const Row* prev = nullptr;
     for (const Row& row : rows) {
-      if (row.map == "v1" && row.dist == v2.dist && row.size == v2.size) {
-        v1 = &row;
-        break;
-      }
-    }
-    if (v1 == nullptr) continue;
-    const struct {
-      const char* op;
-      double v1_ns, v2_ns;
-    } cells[] = {
-        {"insert", v1->insert_ns, v2.insert_ns},
-        // The gating find cell is the interleaved hit/miss stream — the
-        // hot-path shape (backward-walk accumulation first-touches roughly
-        // half its lookups). Pure-hit and pure-miss stay as informational
-        // rows: a low-load linear probe is near-unbeatable on L1-resident
-        // pure hits, and pinning v2 to that cell would optimize the wrong
-        // workload.
-        {"find_mixed", v1->find_mixed_ns, v2.find_mixed_ns},
-        {"clear_reuse", v1->clear_reuse_ns, v2.clear_reuse_ns},
-    };
-    for (const auto& cell : cells) {
-      if (cell.v2_ns > cell.v1_ns) {
-        char buf[256];
+      if (row.dist != dist || !row.has_probes) continue;
+      char buf[256];
+      if (prev != nullptr && row.probes.p99 > 2 * prev->probes.p99 + 1) {
         std::snprintf(buf, sizeof(buf),
-                      "%s/size=%zu/%s: v2 %.2f ns vs v1 %.2f ns",
-                      v2.dist.c_str(), v2.size, cell.op, cell.v2_ns,
-                      cell.v1_ns);
+                      "%s/%s: p99 probe cost %.0f at size %zu vs %.0f at "
+                      "size %zu (superlinear)",
+                      row.map.c_str(), dist.c_str(), row.probes.p99, row.size,
+                      prev->probes.p99, prev->size);
         violations.push_back(buf);
       }
+      if (row.probes.max > 256) {
+        std::snprintf(buf, sizeof(buf), "%s/%s: max probe cost %zu at size %zu",
+                      row.map.c_str(), dist.c_str(), row.probes.max, row.size);
+        violations.push_back(buf);
+      }
+      prev = &row;
     }
   }
   return violations;
@@ -370,8 +318,7 @@ std::vector<std::string> CompareV2AgainstV1(const std::vector<Row>& rows) {
 
 void WriteJson(const Args& args, const std::vector<size_t>& sizes,
                const std::vector<Row>& rows,
-               const std::vector<std::string>& detector_violations,
-               const std::vector<std::string>& comparison_violations) {
+               const std::vector<std::string>& violations) {
   FILE* out = std::fopen(args.out.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
@@ -379,7 +326,7 @@ void WriteJson(const Args& args, const std::vector<size_t>& sizes,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"hashmap_micro\",\n");
-  std::fprintf(out, "  \"schema_version\": 1,\n");
+  std::fprintf(out, "  \"schema_version\": 2,\n");
   std::fprintf(out, "  \"config\": {\"max_size\": %zu, \"reps\": %d, "
                     "\"sweeps\": %d, \"sizes\": [",
                args.max_size, args.reps, args.sweeps);
@@ -407,20 +354,13 @@ void WriteJson(const Args& args, const std::vector<size_t>& sizes,
     std::fprintf(out, "}");
   }
   std::fprintf(out, "\n  ],\n");
-  const auto write_verdict = [out](const char* name,
-                                   const std::vector<std::string>& violations,
-                                   bool trailing_comma) {
-    std::fprintf(out, "  \"%s\": {\"pass\": %s, \"violations\": [", name,
-                 violations.empty() ? "true" : "false");
-    for (size_t i = 0; i < violations.size(); ++i) {
-      std::fprintf(out, "%s\n    \"%s\"", i == 0 ? "" : ",",
-                   violations[i].c_str());
-    }
-    std::fprintf(out, "%s]}%s\n", violations.empty() ? "" : "\n  ",
-                 trailing_comma ? "," : "");
-  };
-  write_verdict("detector", detector_violations, true);
-  write_verdict("comparison_v2_vs_v1", comparison_violations, false);
+  std::fprintf(out, "  \"detector\": {\"pass\": %s, \"violations\": [",
+               violations.empty() ? "true" : "false");
+  for (size_t i = 0; i < violations.size(); ++i) {
+    std::fprintf(out, "%s\n    \"%s\"", i == 0 ? "" : ",",
+                 violations[i].c_str());
+  }
+  std::fprintf(out, "%s]}\n", violations.empty() ? "" : "\n  ");
   std::fprintf(out, "}\n");
   std::fclose(out);
 }
@@ -468,7 +408,7 @@ int main(int argc, char** argv) {
   // Probe stats are deterministic per cell — identical every sweep — so
   // the first sweep's values stand. std::unordered_map is measured in the
   // first sweep only: it is a reference row, not part of any verdict, and
-  // it is the slowest third of a sweep.
+  // it is the slower of the two maps to measure.
   const auto merge_min = [](Row& merged, const Row& r) {
     merged.insert_ns = std::min(merged.insert_ns, r.insert_ns);
     merged.find_hit_ns = std::min(merged.find_hit_ns, r.find_hit_ns);
@@ -485,20 +425,16 @@ int main(int argc, char** argv) {
       for (const size_t size : sizes) {
         Rng rng(size * 1000003 + 17);
         const KeySet ks = MakeKeys(dist, size, rng);
-        Row v1 = MeasureMap("v1", [] { return FlatHashMap<uint64_t>(16); },
-                            dist, ks, args.reps);
         Row v2 = MeasureMap("v2", [] { return FlatHashMap2<uint64_t>(16); },
                             dist, ks, args.reps);
         if (sweep == 0) {
-          rows.push_back(std::move(v1));
           rows.push_back(std::move(v2));
           rows.push_back(MeasureMap("std", [] { return StdMapAdapter{}; },
                                     dist, ks, args.reps));
         } else {
-          merge_min(rows[cell], v1);
-          merge_min(rows[cell + 1], v2);
+          merge_min(rows[cell], v2);
         }
-        cell += 3;
+        cell += 2;
       }
     }
     std::fprintf(stderr, "[hashmap_micro] sweep %d/%d done\n", sweep + 1,
@@ -520,21 +456,15 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   const std::vector<std::string> detector = DetectQuadraticProbes(rows);
-  const std::vector<std::string> comparison = CompareV2AgainstV1(rows);
-  WriteJson(args, sizes, rows, detector, comparison);
+  WriteJson(args, sizes, rows, detector);
   std::printf("wrote %s (%zu rows)\n", args.out.c_str(), rows.size());
   for (const auto& v : detector) {
     std::fprintf(stderr, "[detector] %s\n", v.c_str());
-  }
-  for (const auto& v : comparison) {
-    std::fprintf(stderr, "[comparison] %s\n", v.c_str());
   }
   if (!detector.empty()) {
     std::fprintf(stderr, "probe detector FAILED\n");
     return 1;
   }
-  std::printf("probe detector: PASS%s\n",
-              comparison.empty() ? "; v2 >= v1 on all hot-path cells"
-                                 : " (v2/v1 comparison has violations)");
+  std::printf("probe detector: PASS\n");
   return 0;
 }

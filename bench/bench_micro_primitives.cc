@@ -1,6 +1,6 @@
 // Google-benchmark micro suite for the library's hot primitives: walk
 // sampling, meeting tests, backward search/walks, reverse PageRank, CSR
-// construction, the FlatHashMap accumulator vs std::unordered_map, and
+// construction, the FlatHashMap2 accumulator vs std::unordered_map, and
 // cold graph artifact loads (v1 sequential parse vs v2 mmap).
 
 #include <benchmark/benchmark.h>
@@ -18,7 +18,7 @@
 #include "ppr/reverse_pagerank.h"
 #include "ppr/walker.h"
 #include "util/alias_table.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/rng.h"
 
 namespace {
@@ -145,17 +145,17 @@ BENCHMARK(BM_GraphColdLoad)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-void BM_FlatHashMapAccumulate(benchmark::State& state) {
+void BM_FlatHashMap2Accumulate(benchmark::State& state) {
   Rng rng(6);
   for (auto _ : state) {
-    FlatHashMap<double> map(16);
+    FlatHashMap2<double> map(16);
     for (int i = 0; i < 4096; ++i) {
       map[rng.NextBounded(1024)] += 1.0;
     }
     benchmark::DoNotOptimize(map.size());
   }
 }
-BENCHMARK(BM_FlatHashMapAccumulate);
+BENCHMARK(BM_FlatHashMap2Accumulate);
 
 void BM_StdUnorderedMapAccumulate(benchmark::State& state) {
   Rng rng(6);

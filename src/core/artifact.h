@@ -29,10 +29,12 @@
 
 namespace prsim {
 
-/// Format version shared by all engine index artifacts. Version 2 is the
-/// sectioned, mmap-ready serde container (ArtifactWriter/ArtifactReader);
-/// version-1 artifacts remain loadable through the reader's compat shim.
-inline constexpr uint32_t kArtifactVersion = 2;
+/// Version of the engine index artifacts, part of bench cache file names so
+/// a cache shared across builds never serves an index that older code
+/// built: bump it whenever index bytes change. The container is the
+/// sectioned, mmap-ready serde format (ArtifactWriter/ArtifactReader;
+/// version-1 files remain loadable through the reader's compat shim).
+inline constexpr uint32_t kArtifactVersion = 3;
 
 struct ArtifactFingerprint {
   uint32_t n = 0;

@@ -13,15 +13,15 @@
 namespace prsim {
 
 /// Pooled per-engine scratch for the chunked query path. Everything here is
-/// reused across queries: FlatHashMap::clear(), vector::clear() and
+/// reused across queries: FlatHashMap2::clear() and
 /// DenseAccumulator::Reset() retain capacity, so steady-state queries
 /// allocate nothing per walk (and, once the touched-node set stabilizes,
 /// nothing at all).
 ///
 /// Every pass that feeds ordered work — RNG draws, float sums into a shared
 /// cell, result emission — iterates insertion order, never a map's slot
-/// layout: each accumulator map is paired with a vector of its keys, and the
-/// node-keyed merge accumulators (the tail columns and the scores) are
+/// layout: FlatHashMap2::ForEach walks insertion order, and the node-keyed
+/// merge accumulators (the tail columns and the scores) are
 /// DenseAccumulators, which keep their own first-touch list. Slot layout
 /// depends on the capacity retained from earlier queries; insertion order
 /// is a pure function of the query, which is what keeps Query(u)
@@ -38,20 +38,16 @@ struct PRSim::QueryWorkspace {
     /// eta(w) * pi_l(u, w) sample counts keyed by PackNodeLevel(w, l).
     /// Counts (not 1/nr masses): integer merges are exact in any order.
     FlatHashMap2<uint64_t> eta_pi{256};
-    std::vector<uint64_t> eta_keys;
     /// This chunk's partial tail-sum per touched node. A chunk never spans
     /// a round, so these are partials of exactly one round's column.
     FlatHashMap2<double> tail{256};
-    std::vector<NodeId> tail_keys;
     BackwardWalker backward;
     Rng rng{0};
     QueryCost cost;
 
     void Reset() {
       eta_pi.clear();
-      eta_keys.clear();
       tail.clear();
-      tail_keys.clear();
       cost = QueryCost{};
     }
   };
@@ -68,7 +64,6 @@ struct PRSim::QueryWorkspace {
 
   // Merge-pass accumulators (main thread only).
   FlatHashMap2<uint64_t> eta_pi{1024};  ///< merged sample counts
-  std::vector<uint64_t> eta_keys;
   RoundColumns tail;  ///< per-(node, round) tail sums + median reduce
   DenseAccumulator<double> scores;  ///< tail medians + hub-index join
 };
@@ -166,36 +161,34 @@ ScoreList PRSim::Query(NodeId u) {
       // Non-meeting sample: contributes to eta(w) * pi_l(u, w), and for
       // non-hub w also to the backward-walk tail estimate (the proof of
       // Lemma 3.7 samples (w, l) with probability pi_l(u, w) * eta(w)).
-      ++OrderedSlot(chunk.eta_pi, chunk.eta_keys, PackNodeLevel(w, level));
+      ++chunk.eta_pi[PackNodeLevel(w, level)];
 
       if (index_->IsHub(w)) continue;
       ++chunk.cost.backward_walks;
       chunk.cost.backward_increments += chunk.backward.RunVarianceBounded(
           w, level, chunk.rng, [&](NodeId v, double value) {
-            OrderedSlot(chunk.tail, chunk.tail_keys, v) += value * tail_scale;
+            chunk.tail[v] += value * tail_scale;
           });
     }
   };
   ParallelFor(0, ws.tasks.size(), run_chunk, options_.threads);
 
   // Phase 2: merge chunk partials in grid order, iterating each chunk's
-  // insertion-order key lists. Tail partials of one (node, round) column
+  // maps in insertion order. Tail partials of one (node, round) column
   // arrive in ascending block order — the fixed-order float sums that make
   // the result independent of the worker count — and the integer eta-pi
   // counts and cost counters merge exactly regardless.
   ws.eta_pi.clear();
-  ws.eta_keys.clear();
   ws.tail.Reset(fr_, graph_.n());
   for (size_t i = 0; i < ws.tasks.size(); ++i) {
     const uint32_t round = ws.tasks[i].round;
     QueryWorkspace::Chunk& chunk = ws.chunks[i];
     cost_.Accumulate(chunk.cost);
-    for (const uint64_t key : chunk.eta_keys) {
-      OrderedSlot(ws.eta_pi, ws.eta_keys, key) += *chunk.eta_pi.Find(key);
-    }
-    for (const NodeId v : chunk.tail_keys) {
-      ws.tail.Add(v, round, *chunk.tail.Find(v));
-    }
+    chunk.eta_pi.ForEach(
+        [&ws](uint64_t key, uint64_t count) { ws.eta_pi[key] += count; });
+    chunk.tail.ForEach([&](uint64_t v, double partial) {
+      ws.tail.Add(static_cast<NodeId>(v), round, partial);
+    });
   }
 
   // Score accumulator: emission follows its first-touch order, so result
@@ -209,21 +202,19 @@ ScoreList PRSim::Query(NodeId u) {
 
   // Index part (Lines 16-18): resolve heavy (w, l) pairs against the hub
   // reserve lists. Reserve lists of distinct (w, l) can hit the same node,
-  // so this float-sum order must follow eta_keys, not the map layout.
+  // so this float-sum order follows eta_pi's insertion order.
   const double keep_threshold = options_.eps / c1_;
-  for (const uint64_t key : ws.eta_keys) {
-    const double mass = static_cast<double>(*ws.eta_pi.Find(key)) * inv_nr;
-    if (mass <= keep_threshold) continue;
-    const NodeId w = UnpackNode(key);
-    const uint32_t level = UnpackLevel(key);
-    const auto* reserves = index_->Find(w, level);
-    if (reserves == nullptr) continue;
+  ws.eta_pi.ForEach([&](uint64_t key, uint64_t count) {
+    const double mass = static_cast<double>(count) * inv_nr;
+    if (mass <= keep_threshold) return;
+    const auto* reserves = index_->Find(UnpackNode(key), UnpackLevel(key));
+    if (reserves == nullptr) return;
     cost_.index_tuples_read += reserves->size();
     const double scale = mass * inv_term_sq_;
     for (const auto& [v, psi] : *reserves) {
       ws.scores[v] += scale * static_cast<double>(psi);
     }
-  }
+  });
 
   ScoreList result;
   result.reserve(ws.scores.size() + 1);
@@ -244,13 +235,10 @@ PRSim::WorkspaceSnapshot PRSim::SnapshotWorkspace() const {
   for (const QueryWorkspace::Chunk& chunk : ws.chunks) {
     snapshot.map_capacity += chunk.eta_pi.capacity() + chunk.tail.capacity() +
                              chunk.backward.ScratchCapacity();
-    snapshot.buffer_capacity +=
-        chunk.eta_keys.capacity() + chunk.tail_keys.capacity();
   }
   snapshot.map_capacity += ws.eta_pi.capacity();
-  snapshot.buffer_capacity += ws.tail.BufferCapacity() +
-                              ws.eta_keys.capacity() +
-                              ws.scores.BufferCapacity();
+  snapshot.buffer_capacity +=
+      ws.tail.BufferCapacity() + ws.scores.BufferCapacity();
   return snapshot;
 }
 

@@ -133,7 +133,7 @@ class PRSim : public SingleSourceSimRank {
   /// regrowth, no buffer reallocation). Zeros before the first Query().
   struct WorkspaceSnapshot {
     size_t chunk_count = 0;       ///< static sample-grid chunks
-    size_t map_capacity = 0;      ///< summed FlatHashMap slot capacities
+    size_t map_capacity = 0;      ///< summed FlatHashMap2 slot capacities
     size_t buffer_capacity = 0;   ///< summed vector capacities (elements)
     bool operator==(const WorkspaceSnapshot&) const = default;
   };

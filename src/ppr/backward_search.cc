@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/logging.h"
 
 namespace prsim {
@@ -17,11 +17,10 @@ BackwardSearchResult BackwardSearch(const Graph& graph, NodeId w,
                                                   : options.rmax;
 
   BackwardSearchResult result;
-  // Deliberately the v1 map: the ForEach below accumulates float residues
-  // and emits reserve-list entries in SLOT order, and those bits/orders are
-  // baked into every PRSim index artifact. Migrating to FlatHashMap2 would
-  // change the iteration order and silently shift psi values at ULP scale.
-  FlatHashMap<double> residue(16), residue_next(16);
+  // The ForEach below float-sums residues into residue_next and emits each
+  // level's reserve list in insertion order; both are baked into the PRSim
+  // and SLING index bytes.
+  FlatHashMap2<double> residue(16), residue_next(16);
   residue[w] = 1.0;
 
   for (uint32_t level = 0; level < options.max_level; ++level) {

@@ -72,22 +72,13 @@ class BackwardWalker {
 
   double sqrt_c() const { return sqrt_c_; }
 
-  /// Combined capacity of the recycled frontier scratch (maps + insertion-
-  /// order key vectors) — the workspace-reuse probe: steady-state walks must
-  /// not grow it.
-  size_t ScratchCapacity() const {
-    return cur_.capacity() + next_.capacity() + cur_keys_.capacity() +
-           next_keys_.capacity();
-  }
+  /// Combined capacity of the recycled frontier maps — the workspace-reuse
+  /// probe: steady-state walks must not grow it.
+  size_t ScratchCapacity() const { return cur_.capacity() + next_.capacity(); }
 
  private:
   template <bool kVarianceBounded, typename Sink>
   uint64_t Run(NodeId w, uint32_t target_level, Rng& rng, Sink&& sink);
-
-  /// Accumulates `delta` for `y` in the next frontier in insertion order.
-  void AccumulateNext(NodeId y, double delta) {
-    OrderedSlot(next_, next_keys_, y) += delta;
-  }
 
   /// Empties the scratch and equalizes the capacities of the two sides.
   /// cur_/next_ are swapped a per-walk-varying number of times, so without
@@ -98,33 +89,24 @@ class BackwardWalker {
   void ResetScratch() {
     cur_.clear();
     next_.clear();
-    cur_keys_.clear();
-    next_keys_.clear();
     if (cur_.capacity() < next_.capacity()) {
       cur_.Reserve(next_.capacity());
     } else if (next_.capacity() < cur_.capacity()) {
       next_.Reserve(cur_.capacity());
-    }
-    if (cur_keys_.capacity() < next_keys_.capacity()) {
-      cur_keys_.reserve(next_keys_.capacity());
-    } else if (next_keys_.capacity() < cur_keys_.capacity()) {
-      next_keys_.reserve(cur_keys_.capacity());
     }
   }
 
   const Graph& graph_;
   double sqrt_c_;
   double term_;  // 1 - sqrt_c
-  // Frontier maps plus their keys in insertion order. The walk consumes RNG
-  // draws while iterating the frontier, so iteration MUST NOT follow the
-  // maps' slot order: slot layout depends on the scratch capacity retained
-  // from earlier walks, and draw-to-node association would then depend on
-  // engine history. Insertion order is a pure function of the walk itself,
-  // which is what keeps queries pure functions of (seed, source).
+  // Frontier maps. The walk consumes RNG draws while iterating the
+  // frontier, so iteration MUST NOT follow the maps' slot order: slot layout
+  // depends on the scratch capacity retained from earlier walks, and
+  // draw-to-node association would then depend on engine history. ForEach
+  // walks insertion order, a pure function of the walk itself, which is
+  // what keeps queries pure functions of (seed, source).
   FlatHashMap2<double> cur_{64};
   FlatHashMap2<double> next_{64};
-  std::vector<NodeId> cur_keys_;
-  std::vector<NodeId> next_keys_;
 };
 
 template <bool kVarianceBounded, typename Sink>
@@ -133,12 +115,11 @@ uint64_t BackwardWalker::Run(NodeId w, uint32_t target_level, Rng& rng,
   uint64_t increments = 1;
   ResetScratch();
   cur_[w] = term_;  // pi_hat_0(w, w) = 1 - sqrt_c
-  cur_keys_.push_back(w);
 
   for (uint32_t level = 0; level < target_level; ++level) {
-    if (cur_keys_.empty()) break;
-    for (const NodeId x : cur_keys_) {
-      const double estimate = *cur_.Find(x);
+    if (cur_.empty()) break;
+    cur_.ForEach([&](uint64_t key, double estimate) {
+      const auto x = static_cast<NodeId>(key);
       const auto outs = graph_.OutNeighbors(x);
       const auto degs = graph_.OutNeighborInDegrees(x);
       if constexpr (kVarianceBounded) {
@@ -149,18 +130,18 @@ uint64_t BackwardWalker::Run(NodeId w, uint32_t target_level, Rng& rng,
         // (1-sqrt_c) increment with probability estimate/(d_in(y)(1-sqrt_c)),
         // realized by thresholding one uniform draw against the sorted
         // in-degree prefix.
-        if (rng.NextDouble() >= sqrt_c_) continue;
+        if (rng.NextDouble() >= sqrt_c_) return;
         const double exact_threshold = estimate / term_;
         size_t i = 0;
         for (; i < outs.size() && degs[i] <= exact_threshold; ++i) {
-          AccumulateNext(outs[i], estimate / degs[i]);
+          next_[outs[i]] += estimate / degs[i];
           ++increments;
         }
         if (i < outs.size()) {
           const double r = rng.NextDouble();
           const double sampled_threshold = exact_threshold / r;
           for (; i < outs.size() && degs[i] <= sampled_threshold; ++i) {
-            AccumulateNext(outs[i], term_);
+            next_[outs[i]] += term_;
             ++increments;
           }
         }
@@ -171,20 +152,18 @@ uint64_t BackwardWalker::Run(NodeId w, uint32_t target_level, Rng& rng,
         const double r = rng.NextDouble();
         const double threshold = sqrt_c_ / r;
         for (size_t i = 0; i < outs.size() && degs[i] <= threshold; ++i) {
-          AccumulateNext(outs[i], estimate);
+          next_[outs[i]] += estimate;
           ++increments;
         }
       }
-    }
+    });
     cur_.clear();
-    cur_keys_.clear();
     std::swap(cur_, next_);
-    std::swap(cur_keys_, next_keys_);
   }
 
-  for (const NodeId v : cur_keys_) {
-    sink(v, *cur_.Find(v));
-  }
+  cur_.ForEach([&](uint64_t v, double estimate) {
+    sink(static_cast<NodeId>(v), estimate);
+  });
   // Leave the scratch empty and equalized so the state BETWEEN walks is the
   // deterministic one (the start-of-run reset is just a guard): a repeated
   // walk sequence reaches its high-water capacity once and never changes it

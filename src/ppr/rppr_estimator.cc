@@ -16,12 +16,11 @@ namespace prsim {
 struct RpprEstimator::Workspace {
   struct Chunk {
     Chunk(const Graph& graph, double c) : backward(graph, c) {}
-    /// Partial per-node sums of this chunk's round (values / dr), with the
-    /// keys in insertion order — the merge iterates acc_keys, never the
-    /// map, so the output never depends on capacity retained from earlier
-    /// estimates (see PRSim::QueryWorkspace).
+    /// Partial per-node sums of this chunk's round (values / dr). The merge
+    /// walks them with ForEach, in insertion order, so the output never
+    /// depends on capacity retained from earlier estimates (see
+    /// PRSim::QueryWorkspace).
     FlatHashMap2<double> acc{256};
-    std::vector<NodeId> acc_keys;
     BackwardWalker backward;
     Rng rng{0};
     uint64_t increments = 0;
@@ -77,12 +76,11 @@ RpprEstimate RpprEstimator::MedianOfMeans(uint64_t stream, Sample&& sample) {
     const SampleChunk& task = ws.tasks[i];
     Workspace::Chunk& chunk = ws.chunks[i];
     chunk.acc.clear();
-    chunk.acc_keys.clear();
     chunk.increments = 0;
     chunk.rng.Reseed(SampleChunkSeed(options_.seed, stream, task, dr_));
     for (uint64_t j = task.j_lo; j < task.j_hi; ++j) {
       sample(chunk, [&](NodeId v, double value) {
-        OrderedSlot(chunk.acc, chunk.acc_keys, v) += value * inv_dr;
+        chunk.acc[v] += value * inv_dr;
       });
     }
   };
@@ -96,9 +94,9 @@ RpprEstimate RpprEstimator::MedianOfMeans(uint64_t stream, Sample&& sample) {
     const uint32_t round = ws.tasks[i].round;
     Workspace::Chunk& chunk = ws.chunks[i];
     out.total_walk_increments += chunk.increments;
-    for (const NodeId v : chunk.acc_keys) {
-      ws.columns.Add(v, round, *chunk.acc.Find(v));
-    }
+    chunk.acc.ForEach([&](uint64_t v, double partial) {
+      ws.columns.Add(static_cast<NodeId>(v), round, partial);
+    });
   }
 
   out.values.reserve(ws.columns.node_count());

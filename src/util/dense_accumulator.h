@@ -6,10 +6,10 @@
 // and the touched node ids in first-touch order. operator[] is a plain
 // array access plus a mark test — no hashing, no probing, no rehash — and
 // touched()/ForEach() visit nodes in first-touch order, which is a pure
-// function of the call sequence. That makes the OrderedSlot discipline
-// (util/flat_hash_map.h) a property of the type: a caller that adds in a
-// fixed order gets the same per-node float sums and the same emission
-// order whatever the accumulator held before.
+// function of the call sequence — the same contract as FlatHashMap2's
+// insertion-order ForEach: a caller that adds in a fixed order gets the
+// same per-node float sums and the same emission order whatever the
+// accumulator held before.
 //
 // Reset() zeroes only the touched entries, so it costs O(touched) and needs
 // no epoch counter (nothing can wrap). Memory is (sizeof(T) + 1) bytes per

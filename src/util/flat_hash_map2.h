@@ -1,46 +1,38 @@
-// FlatHashMap2 — cache-aware open-addressing hash map keyed by 64-bit
-// integers (the v2 of util/flat_hash_map.h, which remains for consumers
-// whose output bits depend on v1's slot iteration order).
+// FlatHashMap2 — the library's open-addressing hash map keyed by 64-bit
+// integers, used by every keyed accumulator and frontier (eta*pi
+// estimators, backward-walk and backward-search frontiers, ProbeSim and
+// TopSim expansions, builder remap, pooling). It succeeded a linear-probing
+// map that iterated in slot order.
 //
-// Microarchitectural differences from v1, in the order they matter on the
-// query hot paths:
+// Design, in the order it matters on the query hot paths:
 //
 //  * SwissTable-style split metadata: a separate 1-byte-per-slot control
 //    array scanned in 16-slot groups. One probe step inspects 16 candidate
 //    slots by touching a single metadata cache line; the 16-byte key/value
 //    slot line is only loaded for slots whose 7-bit hash fragment matches.
-//    v1 probes the full {key, value} array linearly, pulling one 16-byte
-//    line per inspected slot.
-//  * wyhash-style mixer: one 64x64->128 multiply with xor-folding replaces
-//    v1's three-multiply splitmix finalizer, and is a stronger mix for the
-//    clustered key shapes we feed it (dense node ids, PackNodeLevel pairs).
+//  * wyhash-style mixer: one 64x64->128 multiply with xor-folding, a strong
+//    mix for the clustered key shapes we feed it (dense node ids,
+//    PackNodeLevel pairs).
 //  * O(size) clear() via an occupied-slot journal: clear() resets only the
 //    control bytes the map actually used (or memsets the control array when
-//    the map is dense — still 16x fewer bytes than v1's full slot wipe).
-//    This is the dominant per-query cost v1 pays when a pooled workspace
-//    retains a large capacity but a query touches few nodes: v1 clear() is
-//    O(capacity) over the slot array.
+//    the map is dense). A pooled workspace that retained a large capacity
+//    therefore pays per query only for the entries that query touched.
 //  * ForEach/ToVector iterate the journal, i.e. in INSERTION order, in
 //    O(size). Iteration order is therefore a pure function of the operation
-//    sequence — never of the capacity retained from earlier reuse — which
-//    upgrades the OrderedSlot discipline from "callers must keep their own
-//    key vector" to a property of the container. (Callers on the query hot
-//    paths still keep their key vectors; the contract is identical.)
+//    sequence — never of the capacity retained from earlier reuse — so a
+//    caller whose float sums, RNG draws or emission follow ForEach stays
+//    bit-identical across workspace reuse without keeping its own key list.
 //
-// Same restrictions as v1, minus the sentinel: any uint64_t key is
-// insertable (presence lives in the control byte, not the key), erase is
-// not supported, and values must be default-constructible and trivially
-// copyable (slots live in a raw arena, with the journal and control bytes
-// fused into a second small block — two allocations per table, see
-// Allocate for why the slot block stays separate). Growth is two-regime
-// but always a
-// deterministic pure function of the insert count: small tables (<= 1024
-// slots, minimum 64 — one cache line of control bytes) grow 4x at 1/2
-// load — a few KB of L1-resident scratch traded for ~4x fewer rehash moves
-// and near-zero probe collisions, which is what makes v2 beat v1's
-// low-load linear probing even on tiny tables — while large tables grow 2x
-// at 3/4 load (matching v1's rehash-move count; the metadata scan wins at
-// equal load). Reserve() and capacity() semantics match v1 so
+// Any uint64_t key is insertable (presence lives in the control byte, not
+// the key), erase is not supported, and values must be default-constructible
+// and trivially copyable (slots live in a raw arena, with the journal and
+// control bytes fused into a second small block — two allocations per
+// table, see Allocate for why the slot block stays separate). Growth is
+// two-regime but always a deterministic pure function of the insert count:
+// small tables (<= 1024 slots, minimum 64 — one cache line of control bytes)
+// grow 4x at 1/2 load — a few KB of L1-resident scratch traded for ~4x
+// fewer rehash moves and near-zero probe collisions — while large tables
+// grow 2x at 3/4 load. Reserve() rounds up to a power of two, so
 // workspace-reuse growth decisions stay deterministic.
 
 #ifndef PRSIM_UTIL_FLAT_HASH_MAP2_H_
@@ -58,10 +50,27 @@
 #include <emmintrin.h>
 #endif
 
-#include "util/flat_hash_map.h"  // OrderedSlot, PackNodeLevel, kMaxMapCapacity
 #include "util/logging.h"
 
 namespace prsim {
+
+/// Hard ceiling on a map's slot count: 2^31 slots. Far above any reachable
+/// workspace size, low enough that the power-of-two doubling loops can
+/// never wrap or spin on a huge (or corrupted) requested capacity, and it
+/// keeps the 32-bit occupied-slot journal indices exact.
+inline constexpr size_t kMaxMapCapacity = size_t{1} << 31;
+
+/// Packs a (node, level) pair into one map key: the node in the low 32
+/// bits, the level in the high 32. Every pair round-trips.
+inline uint64_t PackNodeLevel(uint32_t node, uint32_t level) {
+  return (static_cast<uint64_t>(level) << 32) | node;
+}
+inline uint32_t UnpackNode(uint64_t key) {
+  return static_cast<uint32_t>(key & 0xffffffffULL);
+}
+inline uint32_t UnpackLevel(uint64_t key) {
+  return static_cast<uint32_t>(key >> 32);
+}
 
 template <typename V>
 class FlatHashMap2 {
@@ -92,7 +101,7 @@ class FlatHashMap2 {
   bool empty() const { return size_ == 0; }
 
   /// Empties the map while KEEPING capacity (the pooled-workspace reuse
-  /// contract, same as v1). Cost is O(size): only the control bytes named
+  /// contract). Cost is O(size): only the control bytes named
   /// by the occupied-slot journal are reset — or, when the map is dense,
   /// one memset of the 1-byte-per-slot control array. Free when empty.
   void clear() {
@@ -194,8 +203,8 @@ class FlatHashMap2 {
   size_t capacity() const { return capacity_; }
 
   /// Ensures capacity() >= slot_count (rounded up to a power of two),
-  /// rehashing current entries — v1 semantics, so paired scratch maps can
-  /// equalize retained capacities (see BackwardWalker::ResetScratch).
+  /// rehashing current entries, so paired scratch maps can equalize
+  /// retained capacities (see BackwardWalker::ResetScratch).
   void Reserve(size_t slot_count) {
     PRSIM_CHECK(slot_count <= kMaxMapCapacity)
         << "FlatHashMap2::Reserve: requested capacity " << slot_count
@@ -295,8 +304,8 @@ class FlatHashMap2 {
 #if defined(__SSE2__)
   // x86-64 path: one 16-byte group compare is two instructions after the
   // per-probe broadcast (cmpeq, movemask) — this is what makes the metadata
-  // scan cheaper than v1's slot probing even when everything is in L1. The
-  // H2 broadcast is hoisted out of the probe loop by the callers.
+  // scan cheap even when everything is in L1. The H2 broadcast is hoisted
+  // out of the probe loop by the callers.
   using H2Pattern = __m128i;
   /// A control group's 16 bytes, loaded ONCE per probe step and shared by
   /// the H2-match and empty-mask queries (the probe loops need both; a
@@ -435,13 +444,12 @@ class FlatHashMap2 {
   /// Two blocks per table: the slot array alone, and [journal | ctrl]
   /// fused. Fusing the two small arrays halves allocator traffic on a
   /// growth chain; the slot array stays SEPARATE deliberately, so its
-  /// allocation size is byte-identical to v1's slot vector at equal
-  /// capacity and the allocator treats both maps the same. (Fused, the big
-  /// block crosses glibc's dynamic-mmap-threshold ceiling ~8 doublings
-  /// earlier than v1's, and past it every fresh build pays ~10k page
-  /// faults v1 stopped paying — a systematic skew the microbench measured
-  /// as a v2 insert regression at the 1e6 cell.) The journal leads the aux
-  /// block (uint32_t alignment), the byte-granular control array trails.
+  /// allocation is exactly capacity * sizeof(Slot). (Fused, the big block
+  /// crosses glibc's dynamic-mmap-threshold ceiling ~8 doublings earlier,
+  /// and past it every fresh build pays ~10k page faults — the microbench
+  /// measured that as an insert regression at the 1e6 cell.) The journal
+  /// leads the aux block (uint32_t alignment), the byte-granular control
+  /// array trails.
   /// Only the control bytes are initialized — slot payloads are written
   /// before they are ever read, and the journal's live prefix is exactly
   /// [0, size_).
@@ -450,10 +458,9 @@ class FlatHashMap2 {
     group_mask_ = cap / kGroupWidth - 1;
     // Grow when the NEXT insert would exceed the regime's load limit —
     // precomputed so the insert path's growth check is one compare. The
-    // large-regime limit matches v1's 3/4 trigger: pushing it to the
-    // SwissTable-classic 7/8 would save memory but do ~17% more total
-    // rehash moves over a growth chain, and bulk insert at DRAM-resident
-    // sizes is rehash-bound.
+    // large-regime limit is 3/4: the SwissTable-classic 7/8 would save
+    // memory but do ~17% more total rehash moves over a growth chain, and
+    // bulk insert at DRAM-resident sizes is rehash-bound.
     growth_threshold_ = cap <= kSmallCapacity ? cap / 2 : cap / 4 * 3;
     // At most growth_threshold_ entries fit before a rehash, so sizing the
     // journal once here lets inserts record slots with a plain store.
@@ -533,7 +540,7 @@ class FlatHashMap2 {
     other.size_ = 0;
   }
 
-  std::unique_ptr<char[]> slot_arena_;  ///< slot array (sized like v1's)
+  std::unique_ptr<char[]> slot_arena_;  ///< slot array alone
   std::unique_ptr<char[]> aux_arena_;   ///< [journal | ctrl], fused
   uint8_t* ctrl_ = nullptr;        ///< 1 byte per slot: kEmpty or 7-bit H2
   Slot* slots_ = nullptr;          ///< payload; valid only where ctrl is full

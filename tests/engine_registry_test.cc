@@ -14,6 +14,7 @@
 #include "core/engine_config.h"
 #include "core/engine_registry.h"
 #include "core/prsim.h"
+#include "gen/chung_lu.h"
 #include "test_util.h"
 
 namespace prsim {
@@ -341,22 +342,48 @@ TEST(BatchQueryTest, GenericPathMatchesPRSimOverloadBitForBit) {
   EXPECT_EQ(via_generic[2], repeat[2]);
 }
 
+/// Answers `sources` through BatchQuery at one thread and at `threads`: the
+/// serial batch runs every source on one engine clone, so later sources see
+/// scratch warmed by earlier ones, while the parallel batch spreads them
+/// over fresh clones. Both must give the same answers.
+void ExpectBatchThreadInvariant(const std::string& name, const Graph& g,
+                                const std::string& params,
+                                const std::vector<NodeId>& sources,
+                                size_t threads) {
+  SCOPED_TRACE(name);
+  auto leader =
+      EngineRegistry::Global().Create(name, g, params).MoveValueUnsafe();
+  ASSERT_TRUE(leader->Preprocess().ok());
+  const auto serial = BatchQuery(*leader, sources, 1);
+  const auto parallel = BatchQuery(*leader, sources, threads);
+  ASSERT_EQ(serial.size(), sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(serial[i], parallel[i])
+        << "thread-count invariance, source " << sources[i];
+    EXPECT_DOUBLE_EQ(ScoreOf(serial[i], sources[i]), 1.0);
+  }
+}
+
 TEST(BatchQueryTest, WorksForIndexFreeAndBaselineEngines) {
-  Graph g = MakeCitationGraph();
-  for (const std::string& name : {"probesim", "reads", "montecarlo"}) {
-    SCOPED_TRACE(name);
-    auto leader = EngineRegistry::Global()
-                      .Create(name, g, RoundTripParams(name))
-                      .MoveValueUnsafe();
-    ASSERT_TRUE(leader->Preprocess().ok());
-    const std::vector<NodeId> sources = {0, 4, 7};
-    const auto serial = BatchQuery(*leader, sources, 1);
-    const auto parallel = BatchQuery(*leader, sources, 3);
-    ASSERT_EQ(serial.size(), 3u);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << "thread-count invariance";
-      EXPECT_DOUBLE_EQ(ScoreOf(serial[i], sources[i]), 1.0);
-    }
+  const Graph citation = MakeCitationGraph();
+  // Large enough that ProbeSim's reused expansion scratch grows during a
+  // batch, which the 12-node citation graph never makes it do.
+  ChungLuOptions gen;
+  gen.n = 400;
+  gen.avg_degree = 4;
+  gen.gamma_out = 2.0;
+  gen.seed = 7;
+  const Graph power_law = GenerateChungLu(gen).ValueOrDie();
+  std::vector<NodeId> sources;
+  for (NodeId u = 0; u < power_law.n(); u += 25) sources.push_back(u);
+
+  for (const std::string& name :
+       {"probesim", "topsim", "reads", "montecarlo"}) {
+    ExpectBatchThreadInvariant(name, citation, RoundTripParams(name),
+                               {0, 4, 7}, 3);
+    ExpectBatchThreadInvariant(
+        name, power_law, name == "probesim" ? "eps=0.2" : RoundTripParams(name),
+        sources, 4);
   }
 }
 

@@ -790,6 +790,9 @@ TEST(TcpServerTest, AcceptLoopSurvivesInjectedFdExhaustion) {
     const net::WireResponse response = client.Receive();
     EXPECT_EQ(response.status_code, 0) << response.error;
   }
+  // Disable() must not race the session threads still evaluating fault
+  // points, so the server is stopped (every thread joined) first.
+  served.server->Shutdown();
   FaultInjector::Global().Disable();
   EXPECT_EQ(served.server->Stats().connections, 4u);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/prsim.h"
+#include "gen/chung_lu.h"
 #include "ppr/rppr_estimator.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
@@ -172,8 +173,15 @@ TEST(ParallelQueryTest, BackwardWalkIndependentOfScratchHistory) {
   // The walk consumes RNG draws while iterating its recycled frontier, so
   // iteration follows insertion order, never map slot order: a walker whose
   // scratch grew on earlier (different) targets must replay a walk exactly
-  // like a factory-fresh one.
-  Graph g = MakeRandomDigraph(400, 8000, 44);
+  // like a factory-fresh one. The power-law out-degrees over flat, low
+  // in-degrees let a walk from a hub outgrow the maps' initial capacity.
+  ChungLuOptions gen;
+  gen.n = 400;
+  gen.avg_degree = 3;
+  gen.gamma_out = 1.0;
+  gen.gamma_in = 10;
+  gen.seed = 44;
+  Graph g = GenerateChungLu(gen).ValueOrDie();
   BackwardWalker fresh(g, 0.6);
   BackwardWalker used(g, 0.6);
   Rng warm(1);
